@@ -177,7 +177,7 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 		return merged[i].shard < merged[j].shard
 	})
 
-	seen := make(map[string]bool, len(merged))
+	seen := make(map[store.DedupKey]bool, len(merged))
 	out := make([]store.Record, 0, len(merged))
 	consumed := make(map[string]uint64, len(scans)) // highest seq taken per shard
 	for _, tr := range merged {
@@ -185,7 +185,7 @@ func (c *Coordinator) ScanPage(f store.Filter, limit int, cursor string) ([]stor
 			break
 		}
 		consumed[tr.shard] = tr.rec.Seq
-		k := tr.rec.Key()
+		k := tr.rec.DedupKey()
 		if seen[k] {
 			c.ctr.Inc("fed_records_deduped")
 			continue
@@ -269,10 +269,10 @@ func (c *Coordinator) Aggregate(q store.AggQuery) (store.AggReport, QueryMeta, e
 		}
 		return merged[i].shard < merged[j].shard
 	})
-	seen := make(map[string]bool, len(merged))
+	seen := make(map[store.DedupKey]bool, len(merged))
 	recs := make([]store.Record, 0, len(merged))
 	for _, tr := range merged {
-		k := tr.rec.Key()
+		k := tr.rec.DedupKey()
 		if seen[k] {
 			c.ctr.Inc("fed_records_deduped")
 			continue

@@ -79,47 +79,54 @@ func (s *Store) collect(f Filter) ([]Record, error) {
 		}
 	}
 	type part struct {
-		recs []Record
+		recs []*Record // matches, pointing into the segment's records
 		err  error
 	}
 	parts := par.Map(0, len(scan), func(i int) part {
-		recs, torn, err := scan[i].load()
+		recs, torn, err := s.load(scan[i])
 		if err != nil {
 			return part{err: err}
 		}
 		if torn {
 			s.ctr.Inc("segments_truncated_read")
 		}
-		var m []Record
-		for _, r := range recs {
-			if f.match(r) {
-				m = append(m, r)
+		var m []*Record
+		for j := range recs {
+			if f.match(recs[j]) {
+				m = append(m, &recs[j])
 			}
 		}
 		return part{recs: m}
 	})
-	seen := make(map[string]bool)
-	var out []Record
-	emit := func(r Record) {
-		k := r.Key()
+	total := 0
+	for _, p := range parts {
+		if p.err != nil {
+			return nil, p.err
+		}
+		total += len(p.recs)
+	}
+	seen := make(map[DedupKey]bool, total)
+	var out []Record // nil, not empty, when nothing matches
+	if total > 0 {
+		out = make([]Record, 0, total)
+	}
+	emit := func(r *Record) {
+		k := r.DedupKey()
 		if seen[k] {
 			s.ctr.Inc("records_deduped_read")
 			return
 		}
 		seen[k] = true
-		out = append(out, r)
+		out = append(out, *r)
 	}
 	for _, p := range parts {
-		if p.err != nil {
-			return nil, p.err
-		}
 		for _, r := range p.recs {
 			emit(r)
 		}
 	}
-	for _, r := range s.mem {
-		if f.match(r) {
-			emit(r)
+	for i := range s.mem {
+		if f.match(s.mem[i]) {
+			emit(&s.mem[i])
 		}
 	}
 	return out, nil
@@ -130,7 +137,9 @@ func (s *Store) collect(f Filter) ([]Record, error) {
 // starts from the beginning); the returned cursor is "" once the scan is
 // exhausted. Cursors stay valid across flushes, compactions, and
 // restarts because they are sequence numbers, which all three preserve.
-// limit <= 0 returns everything.
+// limit <= 0 returns everything. The returned records share their Hops
+// and Websteps with the store's segments and must be treated as
+// read-only.
 func (s *Store) ScanPage(f Filter, limit int, cursor string) ([]Record, string, error) {
 	t := obs.StartTimer()
 	defer func() { s.hScan.Observe(t.Elapsed()) }()
@@ -228,7 +237,8 @@ type AggReport struct {
 // RTT mean/percentiles — over the filtered records, bucketed per the
 // query's GroupBy. Scans run in parallel across segments; the
 // aggregation itself is a serial fold in sequence order, so results are
-// independent of worker count.
+// independent of worker count. It reads the same shared, read-only
+// records as ScanPage; the report it returns holds none of them.
 func (s *Store) Aggregate(q AggQuery) (AggReport, error) {
 	t := obs.StartTimer()
 	defer func() { s.hAggregate.Observe(t.Elapsed()) }()
@@ -266,39 +276,20 @@ func AggregateRecords(recs []Record, groupBy string) (AggReport, error) {
 	}
 	type bucket struct {
 		g    AggGroup
+		name string // the key buckets sort by
 		rtts []float64
 	}
-	buckets := make(map[string]*bucket)
-	var order []string
-	for _, r := range recs {
-		var key string
-		g := AggGroup{}
-		switch groupBy {
-		case GroupCountry:
-			key, g.Country = r.Country, r.Country
-		case GroupASN:
-			key, g.ASN = fmt.Sprintf("%d", r.ASN), r.ASN
-		case GroupCountryASN:
-			key = fmt.Sprintf("%s/%d", r.Country, r.ASN)
-			g.Country, g.ASN = r.Country, r.ASN
-		case GroupVerdict:
-			key, g.Verdict = r.Result.Verdict, r.Result.Verdict
-		case GroupResolver:
-			key, g.Resolver = r.Result.ResolverKind, r.Result.ResolverKind
-		case GroupCountryResolver:
-			key = r.Country + "/" + r.Result.ResolverKind
-			g.Country, g.Resolver = r.Country, r.Result.ResolverKind
-		case GroupResolverChain:
-			key, g.ResolverChain = r.Result.ResolverChain, r.Result.ResolverChain
-		case GroupECS:
-			key = strconv.FormatBool(r.Result.ECS)
-			g.ECS = key
-		}
-		b, ok := buckets[key]
+	buckets := make(map[aggKey]*bucket)
+	var order []*bucket
+	for i := range recs {
+		r := &recs[i]
+		k := groupKey(r, groupBy)
+		b, ok := buckets[k]
 		if !ok {
-			b = &bucket{g: g}
-			buckets[key] = b
-			order = append(order, key)
+			g, name := k.open(groupBy)
+			b = &bucket{g: g, name: name}
+			buckets[k] = b
+			order = append(order, b)
 		}
 		b.g.Count++
 		if r.Result.Verdict != "" {
@@ -314,10 +305,9 @@ func AggregateRecords(recs []Record, groupBy string) (AggReport, error) {
 			}
 		}
 	}
-	sort.Strings(order)
+	sort.SliceStable(order, func(i, j int) bool { return order[i].name < order[j].name })
 	rep := AggReport{Matched: int64(len(recs))}
-	for _, key := range order {
-		b := buckets[key]
+	for _, b := range order {
 		if b.g.Count > 0 {
 			b.g.LossRate = 1 - float64(b.g.OK)/float64(b.g.Count)
 		}
@@ -336,6 +326,62 @@ func AggregateRecords(recs []Record, groupBy string) (AggReport, error) {
 		rep.Groups = append(rep.Groups, b.g)
 	}
 	return rep, nil
+}
+
+// aggKey is an aggregation bucket's identity as a comparable value: the
+// fold looks buckets up without formatting a string per record, and
+// builds the string a bucket sorts by once, when the bucket opens.
+type aggKey struct {
+	a, b string
+	asn  topology.ASN
+}
+
+// groupKey returns the bucket identity of r under groupBy.
+func groupKey(r *Record, groupBy string) aggKey {
+	switch groupBy {
+	case GroupCountry:
+		return aggKey{a: r.Country}
+	case GroupASN:
+		return aggKey{asn: r.ASN}
+	case GroupCountryASN:
+		return aggKey{a: r.Country, asn: r.ASN}
+	case GroupVerdict:
+		return aggKey{a: r.Result.Verdict}
+	case GroupResolver:
+		return aggKey{a: r.Result.ResolverKind}
+	case GroupCountryResolver:
+		return aggKey{a: r.Country, b: r.Result.ResolverKind}
+	case GroupResolverChain:
+		return aggKey{a: r.Result.ResolverChain}
+	case GroupECS:
+		return aggKey{a: strconv.FormatBool(r.Result.ECS)}
+	}
+	return aggKey{}
+}
+
+// open labels a new bucket's AggGroup and returns the string the bucket
+// sorts by ("<country>/<asn>" for country_asn, the ASN in decimal for
+// asn).
+func (k aggKey) open(groupBy string) (AggGroup, string) {
+	switch groupBy {
+	case GroupCountry:
+		return AggGroup{Country: k.a}, k.a
+	case GroupASN:
+		return AggGroup{ASN: k.asn}, strconv.FormatUint(uint64(k.asn), 10)
+	case GroupCountryASN:
+		return AggGroup{Country: k.a, ASN: k.asn}, k.a + "/" + strconv.FormatUint(uint64(k.asn), 10)
+	case GroupVerdict:
+		return AggGroup{Verdict: k.a}, k.a
+	case GroupResolver:
+		return AggGroup{Resolver: k.a}, k.a
+	case GroupCountryResolver:
+		return AggGroup{Country: k.a, Resolver: k.b}, k.a + "/" + k.b
+	case GroupResolverChain:
+		return AggGroup{ResolverChain: k.a}, k.a
+	case GroupECS:
+		return AggGroup{ECS: k.a}, k.a
+	}
+	return AggGroup{}, ""
 }
 
 // percentile is the nearest-rank percentile of an ascending-sorted

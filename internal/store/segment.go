@@ -1,6 +1,7 @@
 package store
 
 import (
+	"container/list"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -193,6 +194,12 @@ func ParseSegment(data []byte) (meta SegmentMeta, recs []Record, torn bool) {
 		return SegmentMeta{}, nil, true
 	}
 	data = rest
+	// Presize from the index, capped by how many frames the bytes could
+	// hold, so an honest segment decodes without append slack and a
+	// corrupt Frames count cannot force a huge allocation.
+	if n := min(meta.Frames, len(data)/(frameHeader+1)); n > 0 {
+		recs = make([]Record, 0, n)
+	}
 	var prevSeq uint64
 	for {
 		var bad bool
@@ -213,28 +220,23 @@ func ParseSegment(data []byte) (meta SegmentMeta, recs []Record, torn bool) {
 	}
 }
 
-// segment is one immutable sealed run of records. Disk segments hold
-// only their sparse index in memory and are re-read on scan; memory
-// segments (dir-less stores) keep their records.
+// segment is one immutable sealed run of records. A memory segment
+// (dir-less store) holds its records in recs from the seal on. A disk
+// segment holds only its sparse index until a scan decodes it; the
+// store's segCache then keeps the decoded records in the same recs slot
+// until it evicts them.
 type segment struct {
 	id   uint64
 	meta SegmentMeta
-	path string   // "" for memory segments
-	recs []Record // nil for disk segments
-}
+	path string // "" for memory segments
 
-// load returns the segment's records. Disk reads are tolerant: a
-// segment damaged after it was sealed yields its valid prefix.
-func (sg *segment) load() ([]Record, bool, error) {
-	if sg.path == "" {
-		return sg.recs, false, nil
-	}
-	raw, err := os.ReadFile(sg.path)
-	if err != nil {
-		return nil, false, fmt.Errorf("store: reading %s: %w", sg.path, err)
-	}
-	_, recs, torn := ParseSegment(raw)
-	return recs, torn, nil
+	// For disk segments, recs, torn, loading and elem are guarded by the
+	// store's segCache.mu, and recs is nil while the segment is not
+	// cached. Cached slices are shared with scans and never modified.
+	recs    []Record
+	torn    bool
+	loading *segLoad      // the decode in flight, if any
+	elem    *list.Element // position in the cache's LRU list; nil when not cached
 }
 
 // segName renders a segment file name from its id.

@@ -14,6 +14,12 @@
 // scan the survivors in parallel (internal/par), then merge serially in
 // sequence order so a parallel scan is byte-identical to a serial one.
 //
+// A disk segment is read and decoded on the first scan that needs it
+// and kept decoded in memory afterwards, within a store-wide record
+// budget derived from the segment size (least-recently-used segments
+// are evicted first). Flushes never fill that cache, so a store nobody
+// queries holds only its memtable and the sparse indexes.
+//
 // Compaction merges runs of small adjacent segments into larger ones
 // and applies the retention policy (records older than Options.Retention
 // ticks are dropped); it only ever writes a new segment and then deletes
@@ -68,6 +74,13 @@ type Record struct {
 // Key is the record's dedup identity: one result per (experiment, task).
 func (r Record) Key() string { return r.Experiment + "/" + r.TaskID }
 
+// DedupKey is Key as a comparable value, so dedup maps hash the two
+// strings instead of building one per record.
+type DedupKey struct{ Experiment, TaskID string }
+
+// DedupKey returns the record's dedup identity as a map key.
+func (r Record) DedupKey() DedupKey { return DedupKey{r.Experiment, r.TaskID} }
+
 // Options parameterizes a Store.
 type Options struct {
 	// FlushEvery seals the memtable into a segment once it holds this
@@ -113,6 +126,7 @@ type Store struct {
 	nextSegID uint64
 	ctr       *metrics.CounterSet
 	closed    bool
+	cache     segCache // decoded disk segments
 
 	// Cached latency series from Options.Obs; observing is lock-free.
 	hIngest    *obs.Histogram
@@ -138,8 +152,11 @@ func (s *Store) initObs(reg *obs.Registry) {
 // NewMemory creates a store with no backing directory: segments live in
 // memory. Used by in-memory controllers and tests; the query and
 // compaction paths are identical to a disk store's.
-func NewMemory(opts Options) *Store {
-	s := &Store{opts: opts.withDefaults(), ctr: metrics.NewCounterSet(), nextSeq: 1, nextSegID: 1}
+func NewMemory(opts Options) *Store { return newStore("", opts) }
+
+func newStore(dir string, opts Options) *Store {
+	s := &Store{dir: dir, opts: opts.withDefaults(), ctr: metrics.NewCounterSet(), nextSeq: 1, nextSegID: 1}
+	s.cache.budget = cacheBudgetSegments * max(s.opts.TargetFrames, s.opts.FlushEvery)
 	s.initObs(opts.Obs)
 	return s
 }
@@ -155,8 +172,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), ctr: metrics.NewCounterSet(), nextSeq: 1, nextSegID: 1}
-	s.initObs(opts.Obs)
+	s := newStore(dir, opts)
 
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -322,6 +338,7 @@ func (s *Store) Compact(now int64) error {
 						continue
 					}
 				}
+				s.cache.drop(sg)
 				s.ctr.Add("frames_expired", int64(sg.meta.Frames))
 				continue
 			}
@@ -368,7 +385,7 @@ func (s *Store) Compact(now int64) error {
 func (s *Store) mergeLocked(group []*segment, cutoff int64) (*segment, error) {
 	var recs []Record
 	for _, sg := range group {
-		rs, torn, err := sg.load()
+		rs, torn, err := s.load(sg)
 		if err != nil {
 			return nil, err
 		}
@@ -403,6 +420,7 @@ func (s *Store) mergeLocked(group []*segment, cutoff int64) (*segment, error) {
 		if sg.path != "" {
 			_ = os.Remove(sg.path)
 		}
+		s.cache.drop(sg)
 	}
 	s.ctr.Add("segments_compacted", int64(len(group)))
 	return merged, nil
@@ -423,8 +441,8 @@ func (s *Store) Close() error {
 
 // Counters snapshots the store's event counters
 // (store_frames_appended, segments_flushed, segments_compacted,
-// frames_expired, queries_served, ...). They are scoped to the current
-// process run.
+// frames_expired, queries_served, segments_decoded, segments_evicted,
+// ...). They are scoped to the current process run.
 func (s *Store) Counters() map[string]int64 { return s.ctr.Snapshot() }
 
 // SegmentCount reports how many sealed segments the store holds.
