@@ -39,8 +39,7 @@ endpoint:
   are listed below.
 - **Pagination.** List responses are ` + "`" + `{"items": [...], "next_cursor": "..."}` + "`" + `;
   ` + "`next_cursor`" + ` is omitted on the last page and is otherwise passed back
-  as ` + "`?cursor=`" + `. (Clients still accept the pre-v1 bare-array shape for
-  one release; see README.)
+  as ` + "`?cursor=`" + `.
 - **Body cap.** Request bodies over 8 MiB are rejected with 413
   (` + "`body_too_large`" + `).
 

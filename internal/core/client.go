@@ -352,9 +352,7 @@ func decodeResponse(resp *http.Response, out interface{}) error {
 }
 
 // getPage fetches a list endpoint and decodes the {items, next_cursor}
-// page shape into items. Pre-page controllers returned bare arrays;
-// those are still accepted for one release (see README's deprecation
-// note) by decoding the body straight into items.
+// page shape into items.
 func (c *Client) getPage(name, path string, items interface{}) (string, error) {
 	var raw json.RawMessage
 	if err := c.get(name, path, &raw); err != nil {
@@ -364,16 +362,11 @@ func (c *Client) getPage(name, path string, items interface{}) (string, error) {
 }
 
 func decodePage(raw []byte, items interface{}) (string, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		// Legacy bare-array shape.
-		return "", json.Unmarshal(trimmed, items)
-	}
 	var pg struct {
 		Items      json.RawMessage `json:"items"`
 		NextCursor string          `json:"next_cursor"`
 	}
-	if err := json.Unmarshal(trimmed, &pg); err != nil {
+	if err := json.Unmarshal(raw, &pg); err != nil {
 		return "", err
 	}
 	if len(pg.Items) > 0 {
@@ -720,12 +713,9 @@ func DrainOnce(cl *Client, agent *probes.Agent) (int, []probes.Result, error) {
 // FlushSpool, and DrainWithSync need, implemented by
 // internal/spool.Spool: results are persisted (Append) before any
 // upload is attempted, offered back oldest-first in frames
-// (DrainBatch; Peek is its single-frame legacy alias), and durably
-// retired in bulk once delivered (AckBatch / Ack).
+// (DrainBatch), and durably retired in bulk once delivered (AckBatch).
 type ResultSpool interface {
 	probes.ResultSink
-	Peek(max int) ([]probes.Result, uint64)
-	Ack(upTo uint64) error
 	DrainBatch(max int) ([]probes.Result, uint64)
 	AckBatch(upTo uint64) error
 	Len() int
@@ -745,14 +735,14 @@ func FlushSpool(cl *Client, probeID string, sp ResultSpool, batch int) (int, err
 	}
 	total := 0
 	for {
-		rs, upTo := sp.Peek(batch)
+		rs, upTo := sp.DrainBatch(batch)
 		if len(rs) == 0 {
 			return total, nil
 		}
 		if err := cl.SubmitResults(probeID, rs); err != nil {
 			return total, err
 		}
-		if err := sp.Ack(upTo); err != nil {
+		if err := sp.AckBatch(upTo); err != nil {
 			return total, err
 		}
 		total += len(rs)

@@ -220,7 +220,7 @@ type Controller struct {
 	// token buckets plus the bounded in-flight gate, evaluated by the
 	// router before each handler. Run-scoped like dur and the store
 	// counters — never journaled, never part of recovery equivalence.
-	adm *admission
+	adm *Admission
 
 	// store holds result payloads (internal/store). The WAL keeps only
 	// the dedup/lease bookkeeping for results; the payloads live here,
@@ -259,7 +259,7 @@ func NewController(trusted ...string) *Controller {
 		servedCountry: make(map[string]int64),
 		servedASN:     make(map[string]int64),
 		dur:           metrics.NewCounterSet(),
-		adm:           newAdmission(),
+		adm:           NewAdmission(AdmissionConfig{}),
 		LeaseTTL:      3,
 		SuspectAfter:  2,
 		DeadAfter:     5,
@@ -373,7 +373,7 @@ func (c *Controller) Tick(n int) {
 	// Token buckets ride the logical clock but outside the journaled
 	// apply: admission is run-scoped, and replaying ticks at recovery
 	// must not grant tokens.
-	c.adm.refill(n)
+	c.adm.Refill(n)
 }
 
 func (c *Controller) applyTickLocked(n int) {
@@ -928,7 +928,7 @@ func (c *Controller) Stats() StatsReport {
 	if sc := c.store.Counters(); len(sc) > 0 {
 		rep.Store = sc
 	}
-	if ad := c.adm.snapshot(); len(ad) > 0 {
+	if ad := c.adm.Snapshot(); len(ad) > 0 {
 		rep.Admission = ad
 	}
 	for _, q := range c.queues {

@@ -84,21 +84,17 @@ func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
 	return id
 }
 
-// WriteJSON, WriteAPIError, and EnsureRequestID expose the envelope
-// writers to sibling front ends — the federation coordinator in
-// internal/federation serves the same v1 surface and must speak
-// byte-identical envelopes. internal/core itself keeps using the
-// unexported forms so the envelope lint stays meaningful.
+// WriteJSON and WriteAPIError expose the envelope writers to handlers
+// outside the package — the federation coordinator in
+// internal/federation serves the same v1 surface through the shared
+// router and must speak byte-identical envelopes. internal/core itself
+// keeps using the unexported forms so the envelope lint stays
+// meaningful.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) { writeJSON(w, code, v) }
 
 // WriteAPIError writes the uniform error envelope (see writeAPIError).
 func WriteAPIError(w http.ResponseWriter, status int, code string, err error) {
 	writeAPIError(w, status, code, err)
-}
-
-// EnsureRequestID echoes or mints the request id (see ensureRequestID).
-func EnsureRequestID(w http.ResponseWriter, r *http.Request) string {
-	return ensureRequestID(w, r)
 }
 
 // mintRequestID generates an opaque server-side request id.

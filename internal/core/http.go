@@ -1,22 +1,19 @@
 package core
 
-// http.go holds the route handlers behind the v1 route table in
-// routes.go. Method enforcement, body caps, request ids, tracing, and
-// latency histograms all live in the router; handlers only parse,
-// call the controller, and render through envelope.go.
+// http.go holds the controller's route handlers behind the v1 route
+// table in routes.go. Method enforcement, admission, body caps, request
+// ids, tracing, and latency histograms all live in the shared router
+// (router.go); handlers only parse, call the controller, and render
+// through envelope.go.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
-	"github.com/afrinet/observatory/internal/topology"
 )
 
 // RecoveryGate fronts the controller's handler while recovery runs:
@@ -62,103 +59,9 @@ func (g *RecoveryGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-var errNotFound = errors.New("not found")
-
-func errMethod(allowed []string) error {
-	return fmt.Errorf("method not allowed (allowed: %s)", strings.Join(allowed, ", "))
-}
-
-// MaxBodyBytes bounds every JSON request body; anything larger is
-// rejected with 413 before it can balloon controller memory. The router
-// applies the cap; decodeBody translates the overflow.
-const MaxBodyBytes = 8 << 20 // 8 MiB
-
-// decodeBody decodes the (router-bounded) JSON request body into v,
-// writing the error envelope (413 for oversized bodies, 400 otherwise)
-// itself. Returns false when the handler should stop.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeAPIError(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return false
-		}
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return false
-	}
-	return true
-}
-
-// parseLimit parses a ?limit= value ("" means no limit). Writes the 400
-// itself; the second return is false when the handler should stop.
-func parseLimit(w http.ResponseWriter, s string) (int, bool) {
-	if s == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Errorf("limit must be a non-negative integer, got %q", s))
-		return 0, false
-	}
-	return n, true
-}
-
-// parseFilter builds a store.Filter from query parameters (experiment,
-// country, asn, kind, verdict, resolver_chain, ecs, from_tick,
-// to_tick). Writes the 400 itself.
-func parseFilter(w http.ResponseWriter, q map[string][]string) (store.Filter, bool) {
-	get := func(k string) string {
-		if vs := q[k]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	f := store.Filter{
-		Experiment:    get("experiment"),
-		Country:       get("country"),
-		Kind:          get("kind"),
-		Verdict:       get("verdict"),
-		ResolverChain: get("resolver_chain"),
-	}
-	if s := get("ecs"); s != "" {
-		if s != "true" && s != "false" {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("ecs must be true or false, got %q", s))
-			return f, false
-		}
-		f.ECS = s
-	}
-	if s := get("asn"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("asn must be an integer, got %q", s))
-			return f, false
-		}
-		f.ASN = topology.ASN(n)
-	}
-	for _, tk := range []struct {
-		name string
-		dst  *int64
-	}{{"from_tick", &f.FromTick}, {"to_tick", &f.ToTick}} {
-		if s := get(tk.name); s != "" {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-					fmt.Errorf("%s must be an integer, got %q", tk.name, s))
-				return f, false
-			}
-			*tk.dst = n
-		}
-	}
-	return f, true
-}
-
-func (c *Controller) handleRegister(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleRegister(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var p ProbeInfo
-	if !decodeBody(w, r, &p) {
+	if !DecodeBody(w, r, &p) {
 		return
 	}
 	if err := c.registerProbeCtx(r.Context(), p); err != nil {
@@ -168,7 +71,7 @@ func (c *Controller) handleRegister(w http.ResponseWriter, r *http.Request, _ pa
 	writeJSON(w, http.StatusOK, map[string]string{"id": p.ID})
 }
 
-func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	items := c.Probes()
 	if items == nil {
 		items = []ProbeInfo{}
@@ -176,7 +79,7 @@ func (c *Controller) handleProbes(w http.ResponseWriter, r *http.Request, _ path
 	writeJSON(w, http.StatusOK, page{Items: items})
 }
 
-func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p PathParams) {
 	max := DefaultLeaseMax
 	if s := r.URL.Query().Get("max"); s != "" {
 		n, err := strconv.Atoi(s)
@@ -192,9 +95,9 @@ func (c *Controller) handleProbeTasks(w http.ResponseWriter, r *http.Request, p 
 	writeJSON(w, http.StatusOK, c.leaseTasksCtx(r.Context(), p["id"], max))
 }
 
-func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, p PathParams) {
 	var rs []probes.Result
-	if !decodeBody(w, r, &rs) {
+	if !DecodeBody(w, r, &rs) {
 		return
 	}
 	accepted, err := c.submitResultsCtx(r.Context(), p["id"], rs)
@@ -205,7 +108,7 @@ func (c *Controller) handleProbeResults(w http.ResponseWriter, r *http.Request, 
 	writeJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "received": len(rs)})
 }
 
-func (c *Controller) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p PathParams) {
 	if err := c.heartbeatCtx(r.Context(), p["id"]); err != nil {
 		writeAPIError(w, http.StatusNotFound, ErrCodeNotFound, err)
 		return
@@ -228,9 +131,9 @@ type submitRequest struct {
 	ID string `json:"id,omitempty"`
 }
 
-func (c *Controller) handleSubmit(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleSubmit(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var req submitRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.ID) > 128 {
@@ -246,7 +149,7 @@ func (c *Controller) handleSubmit(w http.ResponseWriter, r *http.Request, _ path
 	writeJSON(w, http.StatusOK, exp)
 }
 
-func (c *Controller) handleExperimentGet(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleExperimentGet(w http.ResponseWriter, r *http.Request, p PathParams) {
 	exp, ok := c.Experiment(p["id"])
 	if !ok {
 		writeAPIError(w, http.StatusNotFound, ErrCodeNotFound,
@@ -256,7 +159,7 @@ func (c *Controller) handleExperimentGet(w http.ResponseWriter, r *http.Request,
 	writeJSON(w, http.StatusOK, exp)
 }
 
-func (c *Controller) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p PathParams) {
 	if err := c.approveCtx(r.Context(), p["id"]); err != nil {
 		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
@@ -264,9 +167,9 @@ func (c *Controller) handleExperimentApprove(w http.ResponseWriter, r *http.Requ
 	writeJSON(w, http.StatusOK, map[string]string{"status": string(StatusApproved)})
 }
 
-func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Request, p pathParams) {
+func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Request, p PathParams) {
 	q := r.URL.Query()
-	limit, ok := parseLimit(w, q.Get("limit"))
+	limit, ok := ParseLimit(w, q.Get("limit"))
 	if !ok {
 		return
 	}
@@ -283,9 +186,9 @@ func (c *Controller) handleExperimentResults(w http.ResponseWriter, r *http.Requ
 
 // handleQuery serves GET /api/v1/query: filtered scans and time-window
 // aggregations over the results store.
-func (c *Controller) handleQuery(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleQuery(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	q := r.URL.Query()
-	f, ok := parseFilter(w, q)
+	f, ok := ParseFilter(w, q)
 	if !ok {
 		return
 	}
@@ -298,7 +201,7 @@ func (c *Controller) handleQuery(w http.ResponseWriter, r *http.Request, _ pathP
 		}
 		writeJSON(w, http.StatusOK, rep)
 	case "scan":
-		limit, ok := parseLimit(w, q.Get("limit"))
+		limit, ok := ParseLimit(w, q.Get("limit"))
 		if !ok {
 			return
 		}
@@ -317,35 +220,20 @@ func (c *Controller) handleQuery(w http.ResponseWriter, r *http.Request, _ pathP
 	}
 }
 
-func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	writeJSON(w, http.StatusOK, c.Health())
 }
 
-func (c *Controller) handleStats(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleStats(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	writeJSON(w, http.StatusOK, c.Stats())
 }
 
 // handleDebugTraces serves the slowest recent request traces from the
 // controller's trace ring.
-func (c *Controller) handleDebugTraces(w http.ResponseWriter, r *http.Request, _ pathParams) {
-	n := 10
-	if s := r.URL.Query().Get("slowest"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-				fmt.Errorf("slowest must be a non-negative integer, got %q", s))
-			return
-		}
-		n = v
-	}
-	views := c.ring.Slowest(n)
-	writeJSON(w, http.StatusOK, page{Items: views})
+func (c *Controller) handleDebugTraces(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	ServeTraces(c.ring, w, r)
 }
 
-// handleMetrics serves the Prometheus text exposition. It writes text
-// (not JSON) with an implicit 200; it is the one non-envelope response
-// in the API.
-func (c *Controller) handleMetrics(w http.ResponseWriter, r *http.Request, _ pathParams) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = c.reg.WritePrometheus(w)
+func (c *Controller) handleMetrics(w http.ResponseWriter, r *http.Request, _ PathParams) {
+	ServeMetrics(c.reg, w)
 }

@@ -50,9 +50,7 @@ func (c *Controller) initObs() {
 	c.reg.AddCounters("obs_durability_events_total", func() map[string]int64 {
 		return c.dur.Snapshot()
 	})
-	c.reg.AddCounters("obs_admission_events_total", func() map[string]int64 {
-		return c.adm.snapshot()
-	})
+	c.reg.AddCounters("obs_admission_events_total", c.adm.Snapshot)
 	c.reg.AddCounters("obs_store_events_total", func() map[string]int64 {
 		c.mu.Lock()
 		st := c.store

@@ -1,27 +1,14 @@
 package core
 
-// routes.go is the v1 API surface: a declarative, method-aware route
-// table that replaces the per-handler method checks and manual path
-// splitting earlier revisions accumulated. The router is the one place
-// that enforces methods (405 + Allow), applies the request body cap
-// (413), assigns request ids, and tags each request with the route name
-// used by latency histograms and traces. The same table self-describes
-// the API: API.md is generated from it (cmd/apidoc), and the
-// conformance test walks it.
+// routes.go is the controller's v1 API surface: a declarative,
+// method-aware route table served by the shared router (router.go),
+// which enforces methods (405 + Allow), runs admission, applies the
+// request body cap (413), assigns request ids, and tags each request
+// with the route name used by latency histograms and traces. The same
+// table self-describes the API: API.md is generated from it
+// (cmd/apidoc), and the conformance test walks it.
 
-import (
-	"log"
-	"net/http"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
-
-	"github.com/afrinet/observatory/internal/obs"
-)
-
-// pathParams are the captured {name} segments of a matched route.
-type pathParams map[string]string
+import "net/http"
 
 // paramDoc documents one path or query parameter for API.md.
 type paramDoc struct {
@@ -44,14 +31,12 @@ type routeDef struct {
 	// field traffic is shed last, low-priority analyst traffic first
 	// (see admission.go).
 	Priority RoutePriority
-	handle   func(*Controller, http.ResponseWriter, *http.Request, pathParams)
+	handle   func(*Controller, http.ResponseWriter, *http.Request, PathParams)
 }
 
 // page is the uniform list-response shape of the v1 API: every list
 // endpoint returns {"items": [...], "next_cursor": "..."} (next_cursor
-// omitted on the last page). The legacy bare-array shape is gone from
-// the server; the client still accepts it for one release when talking
-// to older controllers.
+// omitted on the last page).
 type page struct {
 	Items      interface{} `json:"items"`
 	NextCursor string      `json:"next_cursor,omitempty"`
@@ -238,139 +223,22 @@ func APIRoutes() []RouteInfo {
 	return out
 }
 
-// compiledRoute is a table entry plus its pre-split pattern and the
-// pre-created latency histogram series.
-type compiledRoute struct {
-	def  routeDef
-	segs []string
-	hist *obs.Histogram
-}
-
-// router matches requests against the route table and wraps every
-// handler with the observability middleware: request ids, body caps,
-// per-route latency histograms, span traces, and slow-request logging.
-type router struct {
-	c      *Controller
-	routes []*compiledRoute
-	ring   *obs.TraceRing
-	slow   time.Duration
-}
-
-// DefaultSlowRequest is the threshold above which a request emits one
-// structured slow-request log line.
-const DefaultSlowRequest = 500 * time.Millisecond
-
-// DefaultTraceRing is how many finished request traces the controller
-// retains for /api/v1/debug/traces.
-const DefaultTraceRing = 256
-
 // Handler exposes the controller's v1 API (see API.md, generated from
-// this route table). Every response carries X-Request-ID; non-2xx
-// responses share the {"error": {code, message, request_id}} envelope;
-// list responses share the {items, next_cursor} page shape; request
-// bodies are bounded at MaxBodyBytes (413 beyond). Per-route latency
-// lands in the obs_http_request_seconds histogram (GET /metrics) and
-// every request leaves a span tree in the trace ring
+// this route table) through the shared router: every response carries
+// X-Request-ID; non-2xx responses share the {"error": {code, message,
+// request_id}} envelope; list responses share the {items, next_cursor}
+// page shape; request bodies are bounded at MaxBodyBytes (413 beyond).
+// Per-route latency lands in the obs_http_request_seconds histogram
+// (GET /metrics) and every request leaves a span tree in the trace ring
 // (GET /api/v1/debug/traces).
 func (c *Controller) Handler() http.Handler {
-	rt := &router{c: c, ring: c.ring, slow: c.SlowRequest}
-	for i := range apiRoutes {
-		def := apiRoutes[i]
-		rt.routes = append(rt.routes, &compiledRoute{
-			def:  def,
-			segs: strings.Split(strings.TrimPrefix(def.Pattern, "/"), "/"),
-			hist: c.reg.Hist("obs_http_request_seconds", "route", def.Name),
-		})
-	}
-	return rt
-}
-
-// match finds the route for (method, path). When only the method
-// mismatches it returns the set of allowed methods for the 405.
-func (rt *router) match(method, path string) (*compiledRoute, pathParams, []string) {
-	// Only the leading slash is trimmed: a trailing slash is a real
-	// (empty) segment, so "/api/v1/experiments/" falls through to 404
-	// rather than matching the collection route.
-	segs := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	var allowed []string
-	for _, cr := range rt.routes {
-		params, ok := matchSegs(cr.segs, segs)
-		if !ok {
-			continue
-		}
-		if cr.def.Method == method {
-			return cr, params, nil
-		}
-		allowed = append(allowed, cr.def.Method)
-	}
-	sort.Strings(allowed)
-	return nil, nil, allowed
-}
-
-// matchSegs matches concrete path segments against a pattern; {name}
-// captures any non-empty segment.
-func matchSegs(pattern, segs []string) (pathParams, bool) {
-	if len(pattern) != len(segs) {
-		return nil, false
-	}
-	var params pathParams
-	for i, p := range pattern {
-		if strings.HasPrefix(p, "{") && strings.HasSuffix(p, "}") {
-			if segs[i] == "" {
-				return nil, false
-			}
-			if params == nil {
-				params = make(pathParams, 2)
-			}
-			params[p[1:len(p)-1]] = segs[i]
-			continue
-		}
-		if p != segs[i] {
-			return nil, false
+	routes := make([]Route, len(apiRoutes))
+	for i, def := range apiRoutes {
+		handle := def.handle
+		routes[i] = Route{
+			Name: def.Name, Method: def.Method, Pattern: def.Pattern, Priority: def.Priority,
+			Handle: func(w http.ResponseWriter, r *http.Request, p PathParams) { handle(c, w, r, p) },
 		}
 	}
-	return params, true
-}
-
-func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	reqID := ensureRequestID(w, r)
-	cr, params, allowed := rt.match(r.Method, r.URL.Path)
-	if cr == nil {
-		if len(allowed) > 0 {
-			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			writeAPIError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed,
-				errMethod(allowed))
-			return
-		}
-		writeAPIError(w, http.StatusNotFound, ErrCodeNotFound, errNotFound)
-		return
-	}
-	// Admission runs after the route is known (shedding is per-route and
-	// per-priority) but before any trace or body work is spent on a
-	// request the controller will refuse.
-	release, ok := rt.c.adm.admit(cr.def.Name, cr.def.Priority)
-	if !ok {
-		w.Header().Set("Retry-After", strconv.Itoa(rt.c.adm.retryAfterSeconds()))
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeRateLimited, errRateLimited(cr.def.Name))
-		return
-	}
-	defer release()
-	if r.Method == http.MethodPost {
-		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	}
-	tr := obs.NewTrace(reqID, cr.def.Name, r.Method)
-	r = r.WithContext(obs.WithSpan(r.Context(), tr.Root()))
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-
-	cr.def.handle(rt.c, rec, r, params)
-
-	view, dur := tr.Finish(rec.status)
-	cr.hist.Observe(dur)
-	if rt.ring != nil {
-		rt.ring.Add(view)
-	}
-	if rt.slow > 0 && dur >= rt.slow {
-		log.Printf("obs: slow request route=%s method=%s status=%d dur=%s request_id=%s",
-			cr.def.Name, r.Method, rec.status, dur.Round(time.Microsecond), reqID)
-	}
+	return NewRouter(routes, c.adm, c.reg, c.ring, c.SlowRequest)
 }

@@ -262,9 +262,9 @@ func (c *Controller) waitForTasks(ctx context.Context, probeID string, max int, 
 }
 
 // handleProbeSync serves POST /api/v1/probes/sync.
-func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ pathParams) {
+func (c *Controller) handleProbeSync(w http.ResponseWriter, r *http.Request, _ PathParams) {
 	var req SyncRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.ProbeID == "" {

@@ -9,11 +9,11 @@
 // heavily on out-of-country and cloud resolvers, and the public clouds'
 // only African sites are in South Africa.
 //
-// Since PR 10 the package is organized around composable resolver
-// chains (chain.go): Resolver is an interface, links are registered by
-// name and stacked per client, and the legacy entry points below
-// (ResolverFor, AuthorityFor, Resolve) are thin shims over the
-// canonical per-country chains.
+// The package is organized around composable resolver chains
+// (chain.go): Resolver is an interface, links are registered by name
+// and stacked per client, and the one-shot entry points below
+// (AssignmentFor, Authority, Resolve) answer from the canonical
+// per-country chains.
 package dnssim
 
 import (
@@ -227,12 +227,6 @@ func (s *System) AssignmentFor(client topology.ASN) Assignment {
 	return r
 }
 
-// ResolverFor is the pre-chain name for AssignmentFor.
-//
-// Deprecated: use AssignmentFor (or resolve through ChainFor, whose
-// answers carry the assignment). Kept as a shim for one release.
-func (s *System) ResolverFor(client topology.ASN) Assignment { return s.AssignmentFor(client) }
-
 // computeAssignment derives a client's assignment — a pure function of
 // the seed and the client ASN.
 func (s *System) computeAssignment(client topology.ASN) Assignment {
@@ -349,14 +343,6 @@ func (s *System) Authority(domain, originCountry string) AuthLocation {
 	s.authMemo[key] = loc
 	s.mu.Unlock()
 	return loc
-}
-
-// AuthorityFor is the pre-chain name for Authority.
-//
-// Deprecated: use Authority, or read the Auth field off a chain Answer.
-// Kept as a shim for one release.
-func (s *System) AuthorityFor(domain, originCountry string) AuthLocation {
-	return s.Authority(domain, originCountry)
 }
 
 func (s *System) computeAuthority(domain, originCountry string) AuthLocation {

@@ -144,9 +144,10 @@ type Coordinator struct {
 	tick      int64
 	log       *journal.Log // nil for in-memory coordinators
 
-	reg  *obs.Registry
-	ctr  *metrics.CounterSet
-	gate *core.AdmissionGate
+	reg    *obs.Registry
+	traces *obs.TraceRing // request traces behind /api/v1/debug/traces
+	ctr    *metrics.CounterSet
+	adm    *core.Admission
 
 	// Failover builds replacement backends for dead shards; nil
 	// disables failover even when cfg.AutoFailover is set.
@@ -167,11 +168,12 @@ func New(dir string, cfg Config) (*Coordinator, error) {
 		submitIDs: make(map[string]string),
 		fedExps:   make(map[string]*fedExperiment),
 		reg:       obs.NewRegistry(),
+		traces:    obs.NewTraceRing(core.DefaultTraceRing),
 		ctr:       metrics.NewCounterSet(),
-		gate:      core.NewAdmissionGate(cfg.Admission),
+		adm:       core.NewAdmission(cfg.Admission),
 	}
 	c.reg.AddCounters("obs_fed_events_total", c.ctr.Snapshot)
-	c.reg.AddCounters("obs_admission_events_total", c.gate.Snapshot)
+	c.reg.AddCounters("obs_admission_events_total", c.adm.Snapshot)
 	if dir == "" {
 		return c, nil
 	}
@@ -212,9 +214,6 @@ func (c *Coordinator) Observability() *obs.Registry { return c.reg }
 
 // Counters snapshots the coordinator's event counters.
 func (c *Coordinator) Counters() map[string]int64 { return c.ctr.Snapshot() }
-
-// Gate exposes the coordinator's admission gate to the HTTP front end.
-func (c *Coordinator) Gate() *core.AdmissionGate { return c.gate }
 
 func (c *Coordinator) applyRecord(rec journal.Record) error {
 	switch rec.Kind {
@@ -422,7 +421,7 @@ func (c *Coordinator) Tick(n int) {
 	}
 	c.mu.Unlock()
 
-	c.gate.Refill(n)
+	c.adm.Refill(n)
 
 	// Advance + probe in parallel: a hung shard must not stall the
 	// other shards' clocks past its own deadline.
@@ -863,7 +862,7 @@ func (c *Coordinator) Stats() FedStats {
 	targets, ids := c.allTargets()
 	out := FedStats{
 		Coordinator: c.ctr.Snapshot(),
-		Admission:   c.gate.Snapshot(),
+		Admission:   c.adm.Snapshot(),
 		Shards:      make(map[string]core.StatsReport, len(targets)),
 	}
 	c.mu.Lock()

@@ -1,56 +1,47 @@
 package federation
 
 // http.go is the coordinator's front end: the v1 API surface re-served
-// over the shard tier. Envelopes, request ids, page shapes, and body
-// caps are byte-identical to a single controller's (internal/core's
-// exported envelope writers), so probes and analysts cannot tell a
-// coordinator from a controller — until a shard dies, when they see
-// 503 shard_unavailable on that shard's keys and degraded-but-correct
-// partial query results instead of a dead platform.
+// over the shard tier through internal/core's shared router, query
+// parsers, and envelope writers. Envelopes, request ids, page shapes,
+// body caps, and filters are byte-identical to a single controller's,
+// so probes and analysts cannot tell a coordinator from a controller —
+// until a shard dies, when they see 503 shard_unavailable on that
+// shard's keys and degraded-but-correct partial query results instead
+// of a dead platform.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 
 	"github.com/afrinet/observatory/internal/core"
 	"github.com/afrinet/observatory/internal/probes"
 	"github.com/afrinet/observatory/internal/store"
-	"github.com/afrinet/observatory/internal/topology"
 )
 
-// fedRoute is one coordinator endpoint.
-type fedRoute struct {
-	name     string
-	method   string
-	segs     []string
-	priority core.RoutePriority
-	handle   func(*Coordinator, http.ResponseWriter, *http.Request, map[string]string)
-}
-
-var fedRoutes = []fedRoute{
-	{"probe_register", http.MethodPost, segsOf("/api/v1/probes/register"), core.PriorityHigh, (*Coordinator).handleRegister},
-	{"probe_tasks", http.MethodGet, segsOf("/api/v1/probes/{id}/tasks"), core.PriorityHigh, (*Coordinator).handleProbeTasks},
-	{"probe_results", http.MethodPost, segsOf("/api/v1/probes/{id}/results"), core.PriorityHigh, (*Coordinator).handleProbeResults},
-	{"probe_heartbeat", http.MethodPost, segsOf("/api/v1/probes/{id}/heartbeat"), core.PriorityHigh, (*Coordinator).handleProbeHeartbeat},
-	{"probe_sync", http.MethodPost, segsOf("/api/v1/probes/sync"), core.PriorityHigh, (*Coordinator).handleProbeSync},
-	{"experiment_submit", http.MethodPost, segsOf("/api/v1/experiments"), core.PriorityHigh, (*Coordinator).handleSubmit},
-	{"experiment_get", http.MethodGet, segsOf("/api/v1/experiments/{id}"), core.PriorityLow, (*Coordinator).handleExperimentGet},
-	{"experiment_approve", http.MethodPost, segsOf("/api/v1/experiments/{id}/approve"), core.PriorityHigh, (*Coordinator).handleExperimentApprove},
-	{"experiment_results", http.MethodGet, segsOf("/api/v1/experiments/{id}/results"), core.PriorityLow, (*Coordinator).handleExperimentResults},
-	{"query", http.MethodGet, segsOf("/api/v1/query"), core.PriorityLow, (*Coordinator).handleQuery},
-	{"health", http.MethodGet, segsOf("/api/v1/health"), core.PriorityHigh, (*Coordinator).handleHealth},
-	{"stats", http.MethodGet, segsOf("/api/v1/stats"), core.PriorityLow, (*Coordinator).handleStats},
-	{"shards", http.MethodGet, segsOf("/api/v1/shards"), core.PriorityLow, (*Coordinator).handleShards},
-	{"metrics", http.MethodGet, segsOf("/metrics"), core.PriorityHigh, (*Coordinator).handleMetrics},
-}
-
-func segsOf(pattern string) []string {
-	return strings.Split(strings.TrimPrefix(pattern, "/"), "/")
+// routes is the coordinator's v1 table, bound to c. Every name it
+// shares with core.APIRoutes() keeps that route's method, pattern, and
+// priority (pinned by TestCoordinatorRoutesMatchCore); "shards" is the
+// coordinator's own.
+func (c *Coordinator) routes() []core.Route {
+	return []core.Route{
+		{Name: "probe_register", Method: http.MethodPost, Pattern: "/api/v1/probes/register", Priority: core.PriorityHigh, Handle: c.handleRegister},
+		{Name: "probe_tasks", Method: http.MethodGet, Pattern: "/api/v1/probes/{id}/tasks", Priority: core.PriorityHigh, Handle: c.handleProbeTasks},
+		{Name: "probe_results", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/results", Priority: core.PriorityHigh, Handle: c.handleProbeResults},
+		{Name: "probe_heartbeat", Method: http.MethodPost, Pattern: "/api/v1/probes/{id}/heartbeat", Priority: core.PriorityHigh, Handle: c.handleProbeHeartbeat},
+		{Name: "probe_sync", Method: http.MethodPost, Pattern: "/api/v1/probes/sync", Priority: core.PriorityHigh, Handle: c.handleProbeSync},
+		{Name: "experiment_submit", Method: http.MethodPost, Pattern: "/api/v1/experiments", Priority: core.PriorityHigh, Handle: c.handleSubmit},
+		{Name: "experiment_get", Method: http.MethodGet, Pattern: "/api/v1/experiments/{id}", Priority: core.PriorityLow, Handle: c.handleExperimentGet},
+		{Name: "experiment_approve", Method: http.MethodPost, Pattern: "/api/v1/experiments/{id}/approve", Priority: core.PriorityHigh, Handle: c.handleExperimentApprove},
+		{Name: "experiment_results", Method: http.MethodGet, Pattern: "/api/v1/experiments/{id}/results", Priority: core.PriorityLow, Handle: c.handleExperimentResults},
+		{Name: "query", Method: http.MethodGet, Pattern: "/api/v1/query", Priority: core.PriorityLow, Handle: c.handleQuery},
+		{Name: "health", Method: http.MethodGet, Pattern: "/api/v1/health", Priority: core.PriorityHigh, Handle: c.handleHealth},
+		{Name: "stats", Method: http.MethodGet, Pattern: "/api/v1/stats", Priority: core.PriorityLow, Handle: c.handleStats},
+		{Name: "shards", Method: http.MethodGet, Pattern: "/api/v1/shards", Priority: core.PriorityLow, Handle: c.handleShards},
+		{Name: "debug_traces", Method: http.MethodGet, Pattern: "/api/v1/debug/traces", Priority: core.PriorityLow, Handle: c.handleDebugTraces},
+		{Name: "metrics", Method: http.MethodGet, Pattern: "/metrics", Priority: core.PriorityHigh, Handle: c.handleMetrics},
+	}
 }
 
 // page mirrors the v1 list-response shape, extended with the federated
@@ -61,72 +52,13 @@ type page struct {
 	QueryMeta
 }
 
-// Handler serves the coordinator's v1 surface. Route admission runs
-// through the coordinator's gate (refilled by Tick) with the same
-// priorities as a controller: probe traffic sheds last.
+// Handler serves the coordinator's v1 surface through core's shared
+// router: admission runs through the coordinator's own gate (refilled
+// by Tick) with the same priorities as a controller, so probe traffic
+// sheds last, and every request lands in the per-route
+// obs_http_request_seconds histogram and the trace ring.
 func (c *Coordinator) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		core.EnsureRequestID(w, r)
-		segs := strings.Split(strings.TrimPrefix(r.URL.Path, "/"), "/")
-		var allowed []string
-		for i := range fedRoutes {
-			rt := &fedRoutes[i]
-			params, ok := matchSegs(rt.segs, segs)
-			if !ok {
-				continue
-			}
-			if rt.method != r.Method {
-				allowed = append(allowed, rt.method)
-				continue
-			}
-			release, ok := c.gate.Admit(rt.name, rt.priority)
-			if !ok {
-				w.Header().Set("Retry-After", strconv.Itoa(c.gate.RetryAfterSeconds()))
-				core.WriteAPIError(w, http.StatusTooManyRequests, core.ErrCodeRateLimited,
-					core.ErrRateLimited(rt.name))
-				return
-			}
-			defer release()
-			if r.Method == http.MethodPost {
-				r.Body = http.MaxBytesReader(w, r.Body, core.MaxBodyBytes)
-			}
-			rt.handle(c, w, r, params)
-			return
-		}
-		if len(allowed) > 0 {
-			sort.Strings(allowed)
-			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			core.WriteAPIError(w, http.StatusMethodNotAllowed, core.ErrCodeMethodNotAllowed,
-				fmt.Errorf("method not allowed (allowed: %s)", strings.Join(allowed, ", ")))
-			return
-		}
-		core.WriteAPIError(w, http.StatusNotFound, core.ErrCodeNotFound, errors.New("not found"))
-	})
-}
-
-// matchSegs matches concrete path segments against a pattern; {name}
-// captures any non-empty segment.
-func matchSegs(pattern, segs []string) (map[string]string, bool) {
-	if len(pattern) != len(segs) {
-		return nil, false
-	}
-	var params map[string]string
-	for i, p := range pattern {
-		if strings.HasPrefix(p, "{") && strings.HasSuffix(p, "}") {
-			if segs[i] == "" {
-				return nil, false
-			}
-			if params == nil {
-				params = make(map[string]string, 2)
-			}
-			params[p[1:len(p)-1]] = segs[i]
-			continue
-		}
-		if p != segs[i] {
-			return nil, false
-		}
-	}
-	return params, true
+	return core.NewRouter(c.routes(), c.adm, c.reg, c.traces, core.DefaultSlowRequest)
 }
 
 // writeShardErr maps routing-layer failures onto the v1 envelope: a
@@ -156,25 +88,9 @@ func (c *Coordinator) writeShardErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody decodes the bounded JSON request body, writing the
-// envelope itself (413 oversized, 400 otherwise).
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			core.WriteAPIError(w, http.StatusRequestEntityTooLarge, core.ErrCodeBodyTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return false
-		}
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest, err)
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	var p core.ProbeInfo
-	if !decodeBody(w, r, &p) {
+	if !core.DecodeBody(w, r, &p) {
 		return
 	}
 	if err := c.Register(p); err != nil {
@@ -184,8 +100,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request, _ m
 	core.WriteJSON(w, http.StatusOK, map[string]string{"id": p.ID})
 }
 
-func (c *Coordinator) handleProbeTasks(w http.ResponseWriter, r *http.Request, p map[string]string) {
-	max := 32
+func (c *Coordinator) handleProbeTasks(w http.ResponseWriter, r *http.Request, p core.PathParams) {
+	max := core.DefaultLeaseMax
 	if s := r.URL.Query().Get("max"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
@@ -208,9 +124,9 @@ func (c *Coordinator) handleProbeTasks(w http.ResponseWriter, r *http.Request, p
 	core.WriteJSON(w, http.StatusOK, tasks)
 }
 
-func (c *Coordinator) handleProbeResults(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleProbeResults(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	var rs []probes.Result
-	if !decodeBody(w, r, &rs) {
+	if !core.DecodeBody(w, r, &rs) {
 		return
 	}
 	accepted, err := c.SubmitResults(p["id"], rs)
@@ -221,7 +137,7 @@ func (c *Coordinator) handleProbeResults(w http.ResponseWriter, r *http.Request,
 	core.WriteJSON(w, http.StatusOK, map[string]int{"accepted": accepted, "received": len(rs)})
 }
 
-func (c *Coordinator) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleProbeHeartbeat(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	if err := c.Heartbeat(p["id"]); err != nil {
 		if errors.Is(err, ErrShardDown) || errors.Is(err, ErrShardTimeout) || errors.Is(err, ErrNoShards) {
 			c.writeShardErr(w, err)
@@ -241,9 +157,9 @@ func (c *Coordinator) handleProbeHeartbeat(w http.ResponseWriter, r *http.Reques
 // wait loop becomes a paced retry. If the owning shard is down the
 // batch was not durably accepted: 503 + Retry-After, and the probe's
 // spool (which only acks on success) retains it.
-func (c *Coordinator) handleProbeSync(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleProbeSync(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	var req core.SyncRequest
-	if !decodeBody(w, r, &req) {
+	if !core.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.ProbeID == "" {
@@ -275,9 +191,9 @@ type fedSubmitRequest struct {
 	Assignments []probes.Assignment `json:"assignments"`
 }
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	var req fedSubmitRequest
-	if !decodeBody(w, r, &req) {
+	if !core.DecodeBody(w, r, &req) {
 		return
 	}
 	exp, err := c.Submit(req.RequestID, req.Owner, req.Description, req.Assignments)
@@ -288,7 +204,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request, _ map
 	core.WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Coordinator) handleExperimentGet(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleExperimentGet(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	exp, err := c.Experiment(p["id"])
 	if err != nil {
 		c.writeShardErr(w, err)
@@ -297,7 +213,7 @@ func (c *Coordinator) handleExperimentGet(w http.ResponseWriter, r *http.Request
 	core.WriteJSON(w, http.StatusOK, exp)
 }
 
-func (c *Coordinator) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleExperimentApprove(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	if err := c.Approve(p["id"]); err != nil {
 		c.writeShardErr(w, err)
 		return
@@ -305,9 +221,9 @@ func (c *Coordinator) handleExperimentApprove(w http.ResponseWriter, r *http.Req
 	core.WriteJSON(w, http.StatusOK, map[string]string{"status": string(core.StatusApproved)})
 }
 
-func (c *Coordinator) handleExperimentResults(w http.ResponseWriter, r *http.Request, p map[string]string) {
+func (c *Coordinator) handleExperimentResults(w http.ResponseWriter, r *http.Request, p core.PathParams) {
 	q := r.URL.Query()
-	limit, ok := parseLimit(w, q.Get("limit"))
+	limit, ok := core.ParseLimit(w, q.Get("limit"))
 	if !ok {
 		return
 	}
@@ -330,9 +246,9 @@ func (c *Coordinator) handleExperimentResults(w http.ResponseWriter, r *http.Req
 	core.WriteJSON(w, http.StatusOK, page{Items: rs, NextCursor: next, QueryMeta: meta})
 }
 
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	q := r.URL.Query()
-	f, ok := parseFilter(w, q)
+	f, ok := core.ParseFilter(w, q)
 	if !ok {
 		return
 	}
@@ -348,7 +264,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ map[
 			QueryMeta
 		}{rep, meta})
 	case "scan":
-		limit, ok := parseLimit(w, q.Get("limit"))
+		limit, ok := core.ParseLimit(w, q.Get("limit"))
 		if !ok {
 			return
 		}
@@ -367,74 +283,22 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request, _ map[
 	}
 }
 
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	core.WriteJSON(w, http.StatusOK, c.Health())
 }
 
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	core.WriteJSON(w, http.StatusOK, c.Stats())
 }
 
-func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request, _ map[string]string) {
+func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
 	core.WriteJSON(w, http.StatusOK, page{Items: c.ShardStatuses()})
 }
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request, _ map[string]string) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = c.reg.WritePrometheus(w)
+func (c *Coordinator) handleDebugTraces(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
+	core.ServeTraces(c.traces, w, r)
 }
 
-// parseLimit parses a ?limit= value ("" means no limit), writing the
-// 400 itself.
-func parseLimit(w http.ResponseWriter, s string) (int, bool) {
-	if s == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-			fmt.Errorf("limit must be a non-negative integer, got %q", s))
-		return 0, false
-	}
-	return n, true
-}
-
-// parseFilter builds a store.Filter from query parameters, writing the
-// 400 itself.
-func parseFilter(w http.ResponseWriter, q map[string][]string) (store.Filter, bool) {
-	get := func(k string) string {
-		if vs := q[k]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	f := store.Filter{
-		Experiment: get("experiment"),
-		Country:    get("country"),
-		Kind:       get("kind"),
-	}
-	if s := get("asn"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-				fmt.Errorf("asn must be an integer, got %q", s))
-			return f, false
-		}
-		f.ASN = topology.ASN(n)
-	}
-	for _, tk := range []struct {
-		name string
-		dst  *int64
-	}{{"from_tick", &f.FromTick}, {"to_tick", &f.ToTick}} {
-		if s := get(tk.name); s != "" {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				core.WriteAPIError(w, http.StatusBadRequest, core.ErrCodeBadRequest,
-					fmt.Errorf("%s must be an integer, got %q", tk.name, s))
-				return f, false
-			}
-			*tk.dst = n
-		}
-	}
-	return f, true
+func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request, _ core.PathParams) {
+	core.ServeMetrics(c.reg, w)
 }

@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"encoding/json"
 	"errors"
-
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -264,5 +266,148 @@ func TestHTTPAdmissionSheds(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-refill stats status %d, want 200", resp.StatusCode)
+	}
+}
+
+// filterWorld loads the same 12 results — 4 probes over 3 ticks, with
+// every filterable dimension varied — into a coordinator over two
+// LocalShards and into one plain controller. It returns both handlers
+// and each side's experiment id.
+func filterWorld(t *testing.T) (fed, plain http.Handler, fedExp, plainExp string) {
+	t.Helper()
+	coord, _ := newHarness(t, 2, "", testConfig())
+	ctrl := core.NewController(testOwner)
+	ps := testProbes(4)
+	as := testAssignments(ps, 3)
+	for _, p := range ps {
+		if err := coord.Register(p); err != nil {
+			t.Fatalf("coordinator Register: %v", err)
+		}
+		if err := ctrl.RegisterProbe(p); err != nil {
+			t.Fatalf("controller Register: %v", err)
+		}
+	}
+	fexp, err := coord.Submit("filters", testOwner, "filter parity", as)
+	if err != nil {
+		t.Fatalf("coordinator Submit: %v", err)
+	}
+	cexp, err := ctrl.SubmitExperiment(testOwner, "filter parity", as)
+	if err != nil {
+		t.Fatalf("controller Submit: %v", err)
+	}
+	verdicts := []string{"ok", "dns_blocked", "tcp_blocked"}
+	chains := []string{"stub>cache>cloud>authority", "stub>cache>forwarder>authority"}
+	// Results carry only probe- and round-derived fields, so both sides
+	// store the same records apart from task and experiment ids.
+	result := func(task probes.Task, probe, round int) probes.Result {
+		j := 3*probe + round
+		return probes.Result{
+			TaskID: task.ID, Experiment: task.Experiment, ProbeID: ps[probe].ID,
+			Kind: task.Kind, OK: true, RTTms: float64(10 + j),
+			Verdict: verdicts[j%3], ResolverChain: chains[j%2], ECS: j%4 == 0,
+		}
+	}
+	for round := 0; round < 3; round++ {
+		coord.Tick(1) // records land at ticks 1, 2, 3
+		ctrl.Tick(1)
+		for i, p := range ps {
+			ft, err := coord.LeaseTasks(p.ID, 1)
+			if err != nil || len(ft) != 1 {
+				t.Fatalf("coordinator lease %s round %d: %d tasks, err=%v", p.ID, round, len(ft), err)
+			}
+			if _, err := coord.SubmitResults(p.ID, []probes.Result{result(ft[0], i, round)}); err != nil {
+				t.Fatalf("coordinator SubmitResults: %v", err)
+			}
+			ct := ctrl.LeaseTasks(p.ID, 1)
+			if len(ct) != 1 {
+				t.Fatalf("controller lease %s round %d: %d tasks", p.ID, round, len(ct))
+			}
+			if _, err := ctrl.SubmitResults(p.ID, []probes.Result{result(ct[0], i, round)}); err != nil {
+				t.Fatalf("controller SubmitResults: %v", err)
+			}
+		}
+	}
+	return coord.Handler(), ctrl.Handler(), fexp.ID, cexp.ID
+}
+
+// queryCount runs one /api/v1/query against h and returns how many
+// records matched: the scan's item count or the aggregate's matched.
+func queryCount(t *testing.T, h http.Handler, op string, q url.Values) int {
+	t.Helper()
+	v := url.Values{"op": {op}}
+	for k, vs := range q {
+		v[k] = vs
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/query?"+v.Encode(), nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("%s %s: status %d body=%s", op, v.Encode(), w.Code, w.Body.String())
+	}
+	var body struct {
+		Items   []json.RawMessage `json:"items"`
+		Matched int               `json:"matched"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatalf("%s %s: %v", op, v.Encode(), err)
+	}
+	if op == "scan" {
+		return len(body.Items)
+	}
+	return body.Matched
+}
+
+// TestFederatedFiltersMatchController requires a coordinator to apply
+// every record filter a controller applies: a federated answer may be
+// partial (and then says so), never silently wider.
+func TestFederatedFiltersMatchController(t *testing.T) {
+	fed, plain, fedExp, plainExp := filterWorld(t)
+	const total = 12
+	for _, tc := range []struct {
+		query     string
+		selective bool // a real value: must match some but not all records
+	}{
+		{"", false},
+		{"experiment={exp}", false},
+		{"country=KE", true},
+		{"asn=64501", true},
+		{"kind=ping", false},
+		{"verdict=dns_blocked", true},
+		{"verdict=no_such_verdict", false},
+		{"resolver_chain=stub>cache>cloud>authority", true},
+		{"resolver_chain=no>such>chain", false},
+		{"ecs=true", true},
+		{"ecs=false", true},
+		{"from_tick=2", true},
+		{"to_tick=2", true},
+		{"from_tick=2&to_tick=2", true},
+		{"verdict=ok&ecs=false&resolver_chain=stub>cache>forwarder>authority", true},
+	} {
+		q, err := url.ParseQuery(strings.ReplaceAll(tc.query, "{exp}", plainExp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fq, _ := url.ParseQuery(strings.ReplaceAll(tc.query, "{exp}", fedExp))
+		for _, op := range []string{"scan", "aggregate"} {
+			want := queryCount(t, plain, op, q)
+			if got := queryCount(t, fed, op, fq); got != want {
+				t.Errorf("%s ?%s: coordinator matched %d, controller %d", op, tc.query, got, want)
+			}
+			if tc.selective && (want == 0 || want == total) {
+				t.Errorf("%s ?%s: controller matched %d of %d; the filter selects nothing", op, tc.query, want, total)
+			}
+		}
+	}
+	for name, h := range map[string]http.Handler{"coordinator": fed, "controller": plain} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/query?op=scan&ecs=maybe", nil))
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		_ = json.Unmarshal(w.Body.Bytes(), &env)
+		if w.Code != http.StatusBadRequest || env.Error.Code != core.ErrCodeBadRequest {
+			t.Errorf("%s: ecs=maybe got %d %q, want 400 %s", name, w.Code, env.Error.Code, core.ErrCodeBadRequest)
+		}
 	}
 }

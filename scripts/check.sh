@@ -62,6 +62,17 @@ if git grep -n 'http\.Error(\|WriteHeader(' -- internal/core internal/federation
     exit 1
 fi
 
+echo "== router lint =="
+# internal/core/router.go is the one v1 route layer: the controller and
+# the federation coordinator both serve through it, so path matching
+# and the POST body cap live there and nowhere else. A second
+# matchSegs or MaxBytesReader in non-test Go is a forked router
+# growing back (the last fork silently dropped query filters).
+if git grep -n 'http\.MaxBytesReader\|func matchSegs' -- '*.go' ':!*_test.go' ':!internal/core/router.go'; then
+    echo "router lint: http.MaxBytesReader / func matchSegs belong only in internal/core/router.go" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 # -shuffle=on randomizes test order within each package: tests that
 # secretly depend on a sibling's side effects fail here instead of in a
